@@ -879,6 +879,39 @@ mod tests {
     }
 
     #[test]
+    fn zero_iterations_answer_an_empty_schedule_not_panic() {
+        // `iters=0` times an empty program: every scheduler and engine
+        // answers makespan 0 rather than failing the worker.
+        use crate::service::wire::{parse_request_line, response_json};
+        for (line, want) in [
+            (
+                "corpus=figure7 iters=0",
+                r#""scheduler": "cyclic", "processors_used": 0, "seq_time": 0, "makespan": 0, "sp": 0, "messages": 0, "comm_cycles": 0, "ii": 2.5}"#,
+            ),
+            (
+                "corpus=figure7 iters=0 scheduler=doacross",
+                r#""scheduler": "doacross", "processors_used": 0, "seq_time": 0, "makespan": 0, "sp": 0, "messages": 0, "comm_cycles": 0, "ii": null}"#,
+            ),
+            (
+                "corpus=cytron86 iters=0 scheduler=doacross engine=heap link=single",
+                r#""scheduler": "doacross", "processors_used": 0, "seq_time": 0, "makespan": 0, "sp": 0, "messages": 0, "comm_cycles": 0, "ii": null}"#,
+            ),
+            (
+                "corpus=figure7 iters=0 engine=calendar link=single mm=3 seed=5",
+                r#""scheduler": "cyclic", "processors_used": 0, "seq_time": 0, "makespan": 0, "sp": 0, "messages": 0, "comm_cycles": 0, "ii": 2.5}"#,
+            ),
+        ] {
+            let parsed = parse_request_line(line).unwrap().unwrap();
+            let got = response_json(0, &execute(&parsed.req));
+            assert!(
+                got.starts_with(r#"{"id": 0, "status": "ok", "kind": "loop""#)
+                    && got.ends_with(want),
+                "{line}: {got}"
+            );
+        }
+    }
+
+    #[test]
     fn unnormalized_graph_is_sched_error_not_panic() {
         // dist=3 self-loop: schedule_loop refuses (NotNormalized).
         let text = "node X\nedge X -> X dist=3\n";

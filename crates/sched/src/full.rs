@@ -8,7 +8,7 @@
 //! This module additionally applies the paper's §3 refinement — folding
 //! non-Cyclic nodes into a relatively idle Cyclic processor when that costs
 //! "little or no additional delay" — by *measuring* both variants with
-//! [`crate::program::static_times`] and keeping the merged one only if its
+//! [`Program::check_and_time`] and keeping the merged one only if its
 //! makespan stays within a configurable tolerance.
 //!
 //! Disconnected Cyclic subgraphs are scheduled per weakly-connected
@@ -18,7 +18,7 @@ use crate::cyclic::{cyclic_schedule, CyclicError, CyclicOptions};
 use crate::flow::{flow_sequences, merge_candidate, subset_latency};
 use crate::machine::{Cycle, MachineConfig};
 use crate::pattern::PatternOutcome;
-use crate::program::{static_times, Program, ProgramError, TimedProgram};
+use crate::program::{Program, ProgramError, TimedProgram};
 use crate::table::Placement;
 use kn_ddg::{classify, split_components, Classification, Ddg, InstanceId, NodeId};
 
@@ -172,8 +172,7 @@ fn schedule_loop_inner(
     if classification.cyclic.is_empty() {
         let seqs = flow_sequences(g, &g.node_ids().collect::<Vec<_>>(), m.processors, iters);
         let program = Program { seqs, iters };
-        program.check_complete(g)?;
-        let timing = static_times(&program, g, m)?;
+        let timing = program.check_and_time(g, m)?;
         return Ok(LoopSchedule {
             classification,
             cyclic_outcomes: Vec::new(),
@@ -224,8 +223,7 @@ fn schedule_loop_inner(
             .map(|ps| ps.iter().map(|p| p.inst).collect())
             .collect();
         let program = Program { seqs, iters };
-        program.check_complete(g)?;
-        let timing = static_times(&program, g, m)?;
+        let timing = program.check_and_time(g, m)?;
         return Ok(LoopSchedule {
             classification,
             cyclic_outcomes: outcomes,
@@ -257,8 +255,7 @@ fn schedule_loop_inner(
     };
 
     let separate = build_separate(g, iters, &by_proc, &flow_in, &flow_out, fi_procs, fo_procs);
-    separate.check_complete(g)?;
-    let separate_timing = static_times(&separate, g, m)?;
+    let separate_timing = separate.check_and_time(g, m)?;
 
     // --- §3 merge heuristic: measured, not assumed. ---
     let merged_choice = opts.merge_tolerance.and_then(|tol| {
@@ -277,8 +274,7 @@ fn schedule_loop_inner(
             &flow_out,
             target,
         );
-        merged.check_complete(g).ok()?;
-        let timing = static_times(&merged, g, m).ok()?;
+        let timing = merged.check_and_time(g, m).ok()?;
         let limit = separate_timing.makespan as f64 * (1.0 + tol);
         (timing.makespan as f64 <= limit).then_some((target, merged, timing))
     });
@@ -328,7 +324,7 @@ fn build_separate(
 /// §3 merged layout: non-Cyclic nodes interleaved into processor `target`.
 /// Flow-in nodes of iteration `i` are keyed just before the earliest Cyclic
 /// instance of iteration `i`; Flow-out nodes just after the latest. If the
-/// resulting order were infeasible, `static_times` reports a deadlock and
+/// resulting order were infeasible, timing reports a deadlock and
 /// the caller falls back to the separate layout.
 fn build_merged(
     g: &Ddg,

@@ -17,12 +17,15 @@
 //!   §3 idle-processor merge heuristic;
 //! * [`full`] — the complete pipeline (paper Fig. 6): classify, schedule
 //!   the Cyclic core, attach the non-Cyclic subsets;
-//! * [`program`] / [`table`] — executable per-processor programs, static
-//!   timing, schedule tables, and validity checking;
+//! * [`program`] / [`mod@dense`] / [`table`] — executable per-processor
+//!   programs, the one dataflow-timing kernel (static timing here, `mm`
+//!   traffic in `kn-sim`) over a dense per-instance index, schedule
+//!   tables, and validity checking;
 //! * [`codegen`] — the transformed-loop pretty printer (the PARBEGIN/PAREND
 //!   forms of the paper's Figures 7(e) and 10);
-//! * [`mod@reference`] — the retained map-based scheduler, kept as the
-//!   executable specification and benchmark baseline for the arena core.
+//! * [`mod@reference`] — the retained map-based scheduler and map-based
+//!   timing sweep, kept as the executable specification (and, for the
+//!   scheduler, benchmark baseline) of the optimized code.
 //!
 //! # Performance notes
 //!
@@ -55,8 +58,10 @@
 //!   of allocating + sorting a [`state::CanonState`]; full states are
 //!   materialized only on fingerprint hits, and every hit is confirmed by
 //!   replay before a pattern is returned ([`state::FingerprintDictionary`]);
-//! * the simulators in `kn-sim` index per-instance tables by
-//!   `node * iters + iter` instead of hashing `InstanceId`s;
+//! * program timing ([`static_times`], `kn-sim`'s simulators) indexes
+//!   per-instance tables by `node * iters + iter` ([`InstanceIndex`])
+//!   instead of hashing `InstanceId`s, and the schedulers build that index
+//!   once per candidate program for both the coverage check and timing;
 //! * `kn-core`'s experiment drivers fan independent (workload, machine)
 //!   cells out across threads and reduce in deterministic seed order.
 //!
@@ -66,6 +71,7 @@
 
 pub mod codegen;
 pub mod cyclic;
+pub mod dense;
 pub mod flow;
 pub mod full;
 pub mod machine;
@@ -81,11 +87,12 @@ pub use cyclic::{
     cyclic_schedule, enumeration_order, greedy_finite, greedy_unbounded, CyclicError,
     CyclicOptions, DetectorKind,
 };
+pub use dense::{InstanceIndex, StartTable};
 pub use full::{
     schedule_loop, CertifyHook, FlowDecision, FullOptions, LoopSchedule, SchedLoopError,
 };
 pub use machine::{ArrivalConvention, Cycle, MachineConfig};
 pub use pattern::{BlockSchedule, Pattern, PatternOutcome};
-pub use program::{static_times, Program, ProgramError, TimedProgram};
+pub use program::{static_times, time_program, Program, ProgramError, TimedProgram};
 pub use stats::{pattern_stats, PatternStats, ProcLoad};
 pub use table::{Placement, ScheduleError, ScheduleTable};

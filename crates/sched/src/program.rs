@@ -1,4 +1,5 @@
-//! Programs: the executable form of a schedule.
+//! Programs: the executable form of a schedule, and the one kernel that
+//! times them.
 //!
 //! A [`Program`] fixes, per processor, the *order* in which node instances
 //! run — exactly what a compiler would emit for an asynchronous MIMD
@@ -8,13 +9,25 @@
 //! instance as soon as the previous one finished and all operands have
 //! arrived.
 //!
-//! [`static_times`] computes those start times under the machine's fixed
-//! cost estimates; the `kn-sim` crate re-executes the same program under
-//! fluctuating costs (the paper's §4 `mm` experiments).
+//! Those start times are the least fixpoint of the dataflow constraints,
+//! and [`time_program`] is the only code that computes it: a round-robin
+//! sweep over processor heads, on tables addressed by the program's
+//! [`InstanceIndex`]. Its caller supplies the cost of each cross-processor
+//! message, and that cost function is all that distinguishes the two
+//! timings the paper uses:
+//!
+//! * [`static_times`] charges the machine's estimate, `m.edge_cost(e)` —
+//!   the timing the scheduler compares candidate programs by (§3);
+//! * `kn_sim::simulate` charges the estimate plus the traffic model's
+//!   per-message fluctuation, and counts messages as it charges them (the
+//!   §4 `mm` experiments).
+//!
+//! The original map-based sweep is kept as the test oracle
+//! ([`crate::reference::static_times`]).
 
+use crate::dense::{InstanceIndex, StartTable};
 use crate::machine::{Cycle, MachineConfig};
-use kn_ddg::{Ddg, InstanceId};
-use std::collections::HashMap;
+use kn_ddg::{Ddg, Edge, EdgeId, InstanceId};
 
 /// Per-processor instance sequences for `iters` iterations of a loop.
 #[derive(Clone, Debug)]
@@ -41,42 +54,25 @@ impl Program {
         self.len() == 0
     }
 
-    /// Processor assignment lookup table.
-    pub fn assignment(&self) -> HashMap<InstanceId, usize> {
-        let mut m = HashMap::with_capacity(self.len());
-        for (p, seq) in self.seqs.iter().enumerate() {
-            for &inst in seq {
-                m.insert(inst, p);
-            }
-        }
-        m
-    }
-
     /// Number of processors that execute at least one instance.
     pub fn used_processors(&self) -> usize {
         self.seqs.iter().filter(|s| !s.is_empty()).count()
     }
 
     /// Check that the program covers each instance of `g`'s nodes for
-    /// iterations `0..iters` exactly once. Returns the set sizes on failure.
+    /// iterations `0..iters` exactly once. Errors take precedence in the
+    /// order [`ProgramError::DuplicateInstance`],
+    /// [`ProgramError::IncompleteCover`], [`ProgramError::ForeignInstance`].
     pub fn check_complete(&self, g: &Ddg) -> Result<(), ProgramError> {
-        let expect = g.node_count() * self.iters as usize;
-        let assign = self.assignment();
-        if assign.len() != self.len() {
-            return Err(ProgramError::DuplicateInstance);
-        }
-        if assign.len() != expect {
-            return Err(ProgramError::IncompleteCover {
-                have: assign.len(),
-                want: expect,
-            });
-        }
-        for inst in assign.keys() {
-            if inst.node.index() >= g.node_count() || inst.iter >= self.iters {
-                return Err(ProgramError::ForeignInstance(*inst));
-            }
-        }
-        Ok(())
+        InstanceIndex::build(self, g)?.check_cover(self, g)
+    }
+
+    /// [`Self::check_complete`] followed by [`static_times`], over one
+    /// index: how the schedulers validate and time each candidate program.
+    pub fn check_and_time(&self, g: &Ddg, m: &MachineConfig) -> Result<TimedProgram, ProgramError> {
+        let index = InstanceIndex::build(self, g)?;
+        index.check_cover(self, g)?;
+        time_program(self, g, m, index, |_, e, _| m.edge_cost(e))
     }
 }
 
@@ -121,10 +117,10 @@ impl std::fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// The result of timing a program: start cycles per instance plus makespan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimedProgram {
     /// Start cycle and processor of every instance.
-    pub start: HashMap<InstanceId, (usize, Cycle)>,
+    pub start: StartTable,
     /// Completion time of the whole program.
     pub makespan: Cycle,
 }
@@ -132,12 +128,12 @@ pub struct TimedProgram {
 impl TimedProgram {
     /// Start cycle of an instance, if present.
     pub fn start_of(&self, inst: InstanceId) -> Option<Cycle> {
-        self.start.get(&inst).map(|&(_, t)| t)
+        self.start.start_of(inst)
     }
 
     /// Processor of an instance, if present.
     pub fn proc_of(&self, inst: InstanceId) -> Option<usize> {
-        self.start.get(&inst).map(|&(p, _)| p)
+        self.start.proc_of(inst)
     }
 }
 
@@ -156,28 +152,45 @@ pub fn static_times(
     g: &Ddg,
     m: &MachineConfig,
 ) -> Result<TimedProgram, ProgramError> {
-    let assign = prog.assignment();
-    if assign.len() != prog.len() {
-        return Err(ProgramError::DuplicateInstance);
-    }
+    let index = InstanceIndex::build(prog, g)?;
+    time_program(prog, g, m, index, |_, e, _| m.edge_cost(e))
+}
+
+/// The dataflow-timing kernel: time `prog` (indexed by `index`, built from
+/// the same program) with `message_cost(edge_id, edge, consumer_iter)`
+/// cycles charged for each operand that crosses processors.
+///
+/// Operand and processor-order rules are those of [`static_times`]. The
+/// sweep visits processors round-robin and drains each as far as its
+/// operands allow, so `message_cost` is called once per remote operand
+/// each time its consumer is tried — again if the consumer then waits on
+/// a later operand. The order of calls is deterministic.
+pub fn time_program<F>(
+    prog: &Program,
+    g: &Ddg,
+    m: &MachineConfig,
+    index: InstanceIndex,
+    mut message_cost: F,
+) -> Result<TimedProgram, ProgramError>
+where
+    F: FnMut(EdgeId, &Edge, u32) -> u32,
+{
+    const UNTIMED: Cycle = Cycle::MAX;
     let total = prog.len();
-    let mut start: HashMap<InstanceId, (usize, Cycle)> = HashMap::with_capacity(total);
+    let mut start = vec![UNTIMED; index.table_len()];
     let mut head = vec![0usize; prog.processors()];
     let mut clock = vec![0 as Cycle; prog.processors()];
     let mut timed = 0usize;
     let mut makespan = 0;
 
-    // Round-robin sweep: time any processor whose head instance has all
-    // operands timed. Terminates in at most `total` productive rounds.
+    // Terminates in at most `total` productive rounds.
     loop {
         let mut progress = false;
-        for p in 0..prog.processors() {
+        for (p, seq) in prog.seqs.iter().enumerate() {
             // A processor may become ready again immediately; drain greedily.
-            while head[p] < prog.seqs[p].len() {
-                let inst = prog.seqs[p][head[p]];
-                let mut ready: Cycle = clock[p];
-                let mut ok = true;
-                for (_, e) in g.in_edges(inst.node) {
+            'drain: while let Some(&inst) = seq.get(head[p]) {
+                let mut ready = clock[p];
+                for (eid, e) in g.in_edges(inst.node) {
                     if e.distance > inst.iter {
                         continue;
                     }
@@ -185,31 +198,23 @@ pub fn static_times(
                         node: e.src,
                         iter: inst.iter - e.distance,
                     };
-                    if let Some(pp) = assign.get(&pred) {
-                        match start.get(&pred) {
-                            Some(&(sp, st)) => {
-                                let fin = m.finish(st, g.latency(pred.node));
-                                let r = if sp == p {
-                                    m.local_ready(fin)
-                                } else {
-                                    m.remote_ready(fin, m.edge_cost(e))
-                                };
-                                ready = ready.max(r);
-                                debug_assert_eq!(sp, *pp);
-                            }
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
+                    // An operand from outside the program is ready at 0.
+                    let Some((sp, slot)) = index.lookup(pred) else {
+                        continue;
+                    };
+                    if start[slot] == UNTIMED {
+                        break 'drain;
                     }
-                    // pred not in program: ready at 0.
-                }
-                if !ok {
-                    break;
+                    let fin = m.finish(start[slot], g.latency(pred.node));
+                    let r = if sp == p {
+                        m.local_ready(fin)
+                    } else {
+                        m.remote_ready(fin, message_cost(eid, e, inst.iter))
+                    };
+                    ready = ready.max(r);
                 }
                 let fin = m.finish(ready, g.latency(inst.node));
-                start.insert(inst, (p, ready));
+                start[index.slot(inst)] = ready;
                 clock[p] = fin;
                 makespan = makespan.max(fin);
                 head[p] += 1;
@@ -218,7 +223,10 @@ pub fn static_times(
             }
         }
         if timed == total {
-            return Ok(TimedProgram { start, makespan });
+            return Ok(TimedProgram {
+                start: StartTable::new(index, start),
+                makespan,
+            });
         }
         if !progress {
             return Err(ProgramError::Deadlock { timed, total });
@@ -363,6 +371,90 @@ mod tests {
             foreign.check_complete(&g).unwrap_err(),
             ProgramError::ForeignInstance(_)
         ));
+    }
+
+    #[test]
+    fn completeness_errors_keep_their_precedence() {
+        let mut b = DdgBuilder::new();
+        b.node("x");
+        b.node("y");
+        let g = b.build().unwrap();
+        // Duplicated, incomplete and foreign at once: the duplicate wins.
+        let all_three = Program {
+            seqs: vec![vec![inst(0, 0), inst(5, 0)], vec![inst(0, 0)]],
+            iters: 2,
+        };
+        assert_eq!(
+            all_three.check_complete(&g),
+            Err(ProgramError::DuplicateInstance)
+        );
+        // Incomplete and foreign: the count is reported.
+        let short = Program {
+            seqs: vec![vec![inst(0, 0), inst(5, 0)]],
+            iters: 2,
+        };
+        assert_eq!(
+            short.check_complete(&g),
+            Err(ProgramError::IncompleteCover { have: 2, want: 4 })
+        );
+        // Right count, two foreign instances: the first in program order.
+        let foreign = Program {
+            seqs: vec![vec![inst(0, 0), inst(0, 1)], vec![inst(1, 2), inst(3, 0)]],
+            iters: 2,
+        };
+        assert_eq!(
+            foreign.check_complete(&g),
+            Err(ProgramError::ForeignInstance(inst(1, 2)))
+        );
+        let m = MachineConfig::new(2, 1);
+        assert_eq!(
+            foreign.check_and_time(&g, &m).unwrap_err(),
+            ProgramError::ForeignInstance(inst(1, 2))
+        );
+    }
+
+    #[test]
+    fn empty_program_with_zero_iterations_is_complete() {
+        let mut b = DdgBuilder::new();
+        b.node("x");
+        b.node("y");
+        let g = b.build().unwrap();
+        let m = MachineConfig::new(2, 1);
+        let empty = Program {
+            seqs: vec![vec![], vec![]],
+            iters: 0,
+        };
+        assert_eq!(empty.check_complete(&g), Ok(()));
+        let t = empty.check_and_time(&g, &m).unwrap();
+        assert_eq!(t.makespan, 0);
+        assert!(t.start.is_empty());
+        // With no iterations any instance is one too many.
+        let stray = Program {
+            seqs: vec![vec![inst(0, 0)], vec![]],
+            iters: 0,
+        };
+        assert_eq!(
+            stray.check_complete(&g),
+            Err(ProgramError::IncompleteCover { have: 1, want: 0 })
+        );
+    }
+
+    #[test]
+    fn foreign_instance_at_iteration_2_pow_31_stays_small() {
+        let mut b = DdgBuilder::new();
+        b.node("x");
+        b.node("y");
+        let g = b.build().unwrap();
+        let prog = Program {
+            seqs: vec![vec![inst(0, 0)], vec![inst(1, 1 << 31)]],
+            iters: 1,
+        };
+        // The index behind the check holds two slots, not 2 x 2^31.
+        assert_eq!(InstanceIndex::build(&prog, &g).unwrap().table_len(), 2);
+        assert_eq!(
+            prog.check_complete(&g),
+            Err(ProgramError::ForeignInstance(inst(1, 1 << 31)))
+        );
     }
 
     #[test]

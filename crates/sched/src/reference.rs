@@ -1,10 +1,11 @@
-//! The retained map-based greedy scheduler — the executable specification
-//! the optimized arena core in [`crate::cyclic`] is tested against.
+//! The retained map-based implementations — the executable
+//! specifications the optimized code is tested against.
 //!
-//! This is the original `Cyclic-sched` implementation, byte for byte in
-//! behavior: `live` in a `BTreeMap`, `remaining` in a `HashMap`, a freshly
-//! allocated and sorted [`CanonState`] per anchor placement, and the
-//! full-state [`StateDictionary`]. It exists for three reasons:
+//! [`cyclic_schedule_ref`] is the original `Cyclic-sched` implementation,
+//! byte for byte in behavior: `live` in a `BTreeMap`, `remaining` in a
+//! `HashMap`, a freshly allocated and sorted [`CanonState`] per anchor
+//! placement, and the full-state [`StateDictionary`]. It exists for three
+//! reasons:
 //!
 //! 1. **equivalence testing** — golden-snapshot and property tests assert
 //!    the arena scheduler emits byte-identical `Placement` sequences and
@@ -15,14 +16,20 @@
 //!    paper's Figure 4 and is the best starting point for understanding
 //!    the scheduler.
 //!
+//! [`time_program`] / [`static_times`] are the original map-based
+//! dataflow-timing sweep, the oracle that property tests hold
+//! [`crate::program::time_program`] to: same `(processor, start)` per
+//! instance, same makespan, same deadlock report, same message-cost calls.
+//!
 //! Nothing in the production pipeline calls into this module.
 
 use crate::cyclic::{CyclicError, CyclicOptions, DetectorKind};
 use crate::machine::{Cycle, MachineConfig};
 use crate::pattern::{BlockSchedule, Pattern, PatternOutcome};
+use crate::program::{Program, ProgramError};
 use crate::state::{CanonState, StateDictionary, StateStamp};
 use crate::table::Placement;
-use kn_ddg::{Ddg, InstanceId, NodeId};
+use kn_ddg::{Ddg, Edge, EdgeId, InstanceId, NodeId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A live placement: scheduled, but some successor has not yet consumed it.
@@ -407,4 +414,102 @@ pub fn greedy_unbounded_ref(g: &Ddg, m: &MachineConfig, max_placements: usize) -
         }
     }
     greedy.placements
+}
+
+/// A map-based timing: `(processor, start)` per instance plus makespan.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RefTiming {
+    pub start: HashMap<InstanceId, (usize, Cycle)>,
+    pub makespan: Cycle,
+}
+
+/// The map-based [`crate::program::static_times`].
+pub fn static_times(prog: &Program, g: &Ddg, m: &MachineConfig) -> Result<RefTiming, ProgramError> {
+    time_program(prog, g, m, |_, e, _| m.edge_cost(e))
+}
+
+/// The map-based [`crate::program::time_program`]: a round-robin sweep
+/// over processor heads with `HashMap<InstanceId, _>` tables.
+pub fn time_program<F>(
+    prog: &Program,
+    g: &Ddg,
+    m: &MachineConfig,
+    mut message_cost: F,
+) -> Result<RefTiming, ProgramError>
+where
+    F: FnMut(EdgeId, &Edge, u32) -> u32,
+{
+    let mut assign: HashMap<InstanceId, usize> = HashMap::with_capacity(prog.len());
+    for (p, seq) in prog.seqs.iter().enumerate() {
+        for &inst in seq {
+            assign.insert(inst, p);
+        }
+    }
+    if assign.len() != prog.len() {
+        return Err(ProgramError::DuplicateInstance);
+    }
+    let total = prog.len();
+    let mut start: HashMap<InstanceId, (usize, Cycle)> = HashMap::with_capacity(total);
+    let mut head = vec![0usize; prog.processors()];
+    let mut clock = vec![0 as Cycle; prog.processors()];
+    let mut timed = 0usize;
+    let mut makespan = 0;
+
+    // Round-robin sweep: time any processor whose head instance has all
+    // operands timed. Terminates in at most `total` productive rounds.
+    loop {
+        let mut progress = false;
+        for p in 0..prog.processors() {
+            // A processor may become ready again immediately; drain greedily.
+            while head[p] < prog.seqs[p].len() {
+                let inst = prog.seqs[p][head[p]];
+                let mut ready: Cycle = clock[p];
+                let mut ok = true;
+                for (eid, e) in g.in_edges(inst.node) {
+                    if e.distance > inst.iter {
+                        continue;
+                    }
+                    let pred = InstanceId {
+                        node: e.src,
+                        iter: inst.iter - e.distance,
+                    };
+                    if let Some(pp) = assign.get(&pred) {
+                        match start.get(&pred) {
+                            Some(&(sp, st)) => {
+                                let fin = m.finish(st, g.latency(pred.node));
+                                let r = if sp == p {
+                                    m.local_ready(fin)
+                                } else {
+                                    m.remote_ready(fin, message_cost(eid, e, inst.iter))
+                                };
+                                ready = ready.max(r);
+                                debug_assert_eq!(sp, *pp);
+                            }
+                            None => {
+                                ok = false;
+                                break;
+                            }
+                        }
+                    }
+                    // pred not in program: ready at 0.
+                }
+                if !ok {
+                    break;
+                }
+                let fin = m.finish(ready, g.latency(inst.node));
+                start.insert(inst, (p, ready));
+                clock[p] = fin;
+                makespan = makespan.max(fin);
+                head[p] += 1;
+                timed += 1;
+                progress = true;
+            }
+        }
+        if timed == total {
+            return Ok(RefTiming { start, makespan });
+        }
+        if !progress {
+            return Err(ProgramError::Deadlock { timed, total });
+        }
+    }
 }

@@ -85,7 +85,7 @@ impl ScheduleTable {
         let placements = t
             .start
             .iter()
-            .map(|(&inst, &(proc, start))| Placement { inst, proc, start })
+            .map(|(inst, (proc, start))| Placement { inst, proc, start })
             .collect();
         Self::new(placements)
     }

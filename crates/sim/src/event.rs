@@ -47,10 +47,11 @@
 //!   what makes 10⁵-iteration `SingleMessage` sweeps cheap (see
 //!   `BENCH_sched.json`'s `event_entries`).
 
-use crate::dense::DenseProgram;
-use crate::{ProcStats, SimResult, TrafficModel};
+use crate::{SimResult, TrafficModel};
 use kn_ddg::{Ddg, InstanceId};
-use kn_sched::{ArrivalConvention, Cycle, MachineConfig, Program, ProgramError};
+use kn_sched::{
+    ArrivalConvention, Cycle, InstanceIndex, MachineConfig, Program, ProgramError, StartTable,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -357,22 +358,20 @@ pub fn simulate_event_with(
     link: LinkModel,
     engine: EventEngine,
 ) -> Result<SimResult, ProgramError> {
-    // Dense per-instance tables indexed by `node * iters + iter` — the
-    // bounds are known up front, so no `HashMap<InstanceId, _>` is needed
-    // anywhere in the engine.
-    let dense = DenseProgram::build(prog, g)?;
+    // Per-instance tables addressed by the program's dense index.
+    let index = InstanceIndex::build(prog, g)?;
     let nprocs = prog.processors();
     let total = prog.len();
 
     // Per-instance dependence bookkeeping.
-    let mut state: Vec<InstState> = vec![InstState { waits: 0, ready: 0 }; dense.table_len()];
+    let mut state: Vec<InstState> = vec![InstState { waits: 0, ready: 0 }; index.table_len()];
     for seq in prog.seqs.iter() {
         for &inst in seq {
             let waits = g
                 .in_edges(inst.node)
                 .filter(|(_, e)| {
                     e.distance <= inst.iter
-                        && dense
+                        && index
                             .proc_of(InstanceId {
                                 node: e.src,
                                 iter: inst.iter - e.distance,
@@ -380,16 +379,15 @@ pub fn simulate_event_with(
                             .is_some()
                 })
                 .count() as u32;
-            state[dense.idx(inst)].waits = waits;
+            state[index.slot(inst)].waits = waits;
         }
     }
 
     let mut head = vec![0usize; nprocs];
     let mut busy = vec![false; nprocs];
     let mut clock = vec![0 as Cycle; nprocs];
-    let mut stats: Vec<ProcStats> = vec![ProcStats::default(); nprocs];
-    // `(proc, start)` per instance; `proc == u32::MAX` marks "not started".
-    let mut start_times: Vec<(u32, Cycle)> = vec![(u32::MAX, 0); dense.table_len()];
+    // Start cycle per slot; meaningful once every instance has started.
+    let mut start_times: Vec<Cycle> = vec![0; index.table_len()];
     // Directed-pair link frontier, `p * nprocs + sp`.
     let mut link_free: Vec<Cycle> = vec![0; nprocs * nprocs];
     let mut queue = Queue::new(engine);
@@ -404,22 +402,20 @@ pub fn simulate_event_with(
                      busy: &mut [bool],
                      clock: &mut [Cycle],
                      state: &[InstState],
-                     start_times: &mut [(u32, Cycle)],
-                     stats: &mut [ProcStats],
+                     start_times: &mut [Cycle],
                      queue: &mut Queue| {
         if busy[p] || head[p] >= prog.seqs[p].len() {
             return;
         }
         let inst = prog.seqs[p][head[p]];
-        let st = state[dense.idx(inst)];
+        let slot = index.slot(inst);
+        let st = state[slot];
         if st.waits > 0 {
             return;
         }
         let start = clock[p].max(st.ready).max(now);
         let lat = g.latency(inst.node) as Cycle;
-        start_times[dense.idx(inst)] = (p as u32, start);
-        stats[p].busy += lat;
-        stats[p].executed += 1;
+        start_times[slot] = start;
         busy[p] = true;
         queue.push(start + lat, EventKind::Finish(p, inst.node.0, inst.iter));
     };
@@ -434,7 +430,6 @@ pub fn simulate_event_with(
             &mut clock,
             &state,
             &mut start_times,
-            &mut stats,
             &mut queue,
         );
     }
@@ -448,7 +443,6 @@ pub fn simulate_event_with(
                     iter,
                 };
                 clock[p] = now;
-                stats[p].finish = now;
                 busy[p] = false;
                 head[p] += 1;
                 done += 1;
@@ -460,11 +454,11 @@ pub fn simulate_event_with(
                         node: e.dst,
                         iter: inst.iter + e.distance,
                     };
-                    let Some(sp) = dense.proc_of(succ) else {
+                    let Some((sp, slot)) = index.lookup(succ) else {
                         continue;
                     };
                     if sp == p {
-                        let st = &mut state[dense.idx(succ)];
+                        let st = &mut state[slot];
                         st.waits -= 1;
                         st.ready = st.ready.max(now);
                         if st.waits == 0 {
@@ -476,7 +470,6 @@ pub fn simulate_event_with(
                                 &mut clock,
                                 &state,
                                 &mut start_times,
-                                &mut stats,
                                 &mut queue,
                             );
                         }
@@ -513,7 +506,6 @@ pub fn simulate_event_with(
                     &mut clock,
                     &state,
                     &mut start_times,
-                    &mut stats,
                     &mut queue,
                 );
             }
@@ -522,8 +514,8 @@ pub fn simulate_event_with(
                     node: kn_ddg::NodeId(node),
                     iter,
                 };
-                let p = dense.proc_of(inst).expect("in program");
-                let st = &mut state[dense.idx(inst)];
+                let (p, slot) = index.lookup(inst).expect("in program");
+                let st = &mut state[slot];
                 st.waits -= 1;
                 st.ready = st.ready.max(now);
                 if st.waits == 0 {
@@ -535,7 +527,6 @@ pub fn simulate_event_with(
                         &mut clock,
                         &state,
                         &mut start_times,
-                        &mut stats,
                         &mut queue,
                     );
                 }
@@ -546,13 +537,14 @@ pub fn simulate_event_with(
     if done != total {
         return Err(ProgramError::Deadlock { timed: done, total });
     }
-    Ok(SimResult {
-        start: dense.export_starts(prog, &start_times),
+    Ok(SimResult::finished(
+        prog,
+        g,
+        StartTable::new(index, start_times),
         makespan,
         messages,
         comm_cycles,
-        procs: stats,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -601,9 +593,7 @@ mod tests {
                 let b =
                     simulate_event_with(&prog, &g, &m, &t, LinkModel::Unlimited, engine).unwrap();
                 assert_eq!(a.makespan, b.makespan, "mm={mm} {engine:?}");
-                for (inst, &(p, s)) in &a.start {
-                    assert_eq!(b.start[inst], (p, s), "mm={mm} {engine:?} {inst}");
-                }
+                assert_eq!(a.start, b.start, "mm={mm} {engine:?}");
             }
         }
     }
@@ -619,8 +609,8 @@ mod tests {
             let tight =
                 simulate_event_with(&prog, &g, &m, &t, LinkModel::SingleMessage, engine).unwrap();
             assert!(tight.makespan >= free.makespan);
-            for (inst, &(_, s)) in &free.start {
-                assert!(tight.start[inst].1 >= s, "{engine:?} {inst}");
+            for (inst, (_, s)) in free.start.iter() {
+                assert!(tight.start.start_of(inst) >= Some(s), "{engine:?} {inst}");
             }
         }
     }
@@ -796,13 +786,13 @@ mod tests {
             // y finishes at 2: cy's message departs at 4 (link busy until
             // then), usable at 6 — send order = event order.
             assert_eq!(
-                r.start[&InstanceId { node: cx, iter: 0 }],
-                (1, 3),
+                r.start.get(InstanceId { node: cx, iter: 0 }),
+                Some((1, 3)),
                 "{engine:?}"
             );
             assert_eq!(
-                r.start[&InstanceId { node: cy, iter: 0 }],
-                (1, 6),
+                r.start.get(InstanceId { node: cy, iter: 0 }),
+                Some((1, 6)),
                 "{engine:?}"
             );
         }

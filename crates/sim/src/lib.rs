@@ -14,15 +14,20 @@
 //!
 //! Fluctuation is sampled *per message* by hashing `(seed, edge, iteration)`
 //! so results are deterministic and independent of event-processing order.
+//!
+//! [`simulate`] is not a simulator of its own: it runs `kn-sched`'s one
+//! dataflow-timing kernel ([`kn_sched::time_program`]) with the fluctuating
+//! message cost, where `static_times` runs it with the estimate. The
+//! [`event`] engine adds what the kernel cannot express — link contention.
 
-mod dense;
 pub mod event;
 
 pub use event::{simulate_event, simulate_event_with, EventEngine, LinkModel};
 
 use kn_ddg::{Ddg, EdgeId, InstanceId};
-use kn_sched::{Cycle, MachineConfig, Program, ProgramError};
-use std::collections::HashMap;
+use kn_sched::{
+    time_program, Cycle, InstanceIndex, MachineConfig, Program, ProgramError, StartTable,
+};
 
 /// Run-time communication traffic model.
 #[derive(Clone, Copy, Debug)]
@@ -81,12 +86,13 @@ impl SimOptions {
         }
     }
 
-    /// Execute `prog` under these options. [`LinkModel::Unlimited`]
-    /// dispatches to the fixpoint simulator ([`simulate`]) — the event
-    /// engine reproduces it cycle for cycle (tested), and the fixpoint
-    /// sweep is the cheaper of the two; [`LinkModel::SingleMessage`] runs
-    /// the event engine with the chosen queue. Use [`simulate_event_with`]
-    /// directly to force the event engine on uncontended links.
+    /// Execute `prog` under these options. [`LinkModel::Unlimited`] runs
+    /// the timing kernel with the traffic model's message cost
+    /// ([`simulate`]) — the event engine reproduces it cycle for cycle
+    /// (tested), and the kernel's sweep is the cheaper of the two;
+    /// [`LinkModel::SingleMessage`] runs the event engine with the chosen
+    /// queue. Use [`simulate_event_with`] directly to force the event
+    /// engine on uncontended links.
     pub fn run(
         &self,
         prog: &kn_sched::Program,
@@ -118,21 +124,53 @@ pub struct ProcStats {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimResult {
     /// Start cycle and processor per instance.
-    pub start: HashMap<InstanceId, (usize, Cycle)>,
+    pub start: StartTable,
     /// Completion time of the whole program.
     pub makespan: Cycle,
-    /// Cross-processor messages delivered.
+    /// Cross-processor messages: delivered by the event engine, charged
+    /// by [`simulate`] (which re-charges the operands of a retried
+    /// consumer).
     pub messages: u64,
-    /// Total actual communication cycles across all messages.
+    /// Total actual communication cycles across those messages.
     pub comm_cycles: u64,
     /// Per-processor statistics.
     pub procs: Vec<ProcStats>,
 }
 
 impl SimResult {
+    /// A completed run: every instance of `prog` started as `start` says,
+    /// which also fixes the per-processor statistics.
+    fn finished(
+        prog: &Program,
+        g: &Ddg,
+        start: StartTable,
+        makespan: Cycle,
+        messages: u64,
+        comm_cycles: u64,
+    ) -> Self {
+        let procs = prog
+            .seqs
+            .iter()
+            .map(|seq| ProcStats {
+                busy: seq.iter().map(|i| g.latency(i.node) as Cycle).sum(),
+                finish: seq.last().map_or(0, |&i| {
+                    start.start_of(i).expect("every instance started") + g.latency(i.node) as Cycle
+                }),
+                executed: seq.len(),
+            })
+            .collect();
+        Self {
+            start,
+            makespan,
+            messages,
+            comm_cycles,
+            procs,
+        }
+    }
+
     /// Start cycle of an instance.
     pub fn start_of(&self, inst: InstanceId) -> Option<Cycle> {
-        self.start.get(&inst).map(|&(_, t)| t)
+        self.start.start_of(inst)
     }
 
     /// Machine utilization: busy cycles over (processors × makespan).
@@ -178,96 +216,37 @@ pub fn sequential_time(g: &Ddg, iters: u32) -> Cycle {
 /// assert_eq!(r.makespan, 4); // x: [0,1), message, y starts at 3
 /// ```
 ///
-/// Identical to `kn_sched::static_times` except that each message's cost is
-/// the estimate plus the traffic model's fluctuation. Start times are the
-/// least fixpoint of the dataflow constraints, computed by a work-list
-/// sweep over processor heads; the result is therefore *the* asynchronous
-/// execution (it does not depend on any event ordering).
+/// This is the dataflow-timing kernel, [`kn_sched::time_program`], with
+/// one of its two cost functions: each message costs the machine's
+/// estimate plus the traffic model's fluctuation (`kn_sched::static_times`
+/// charges the estimate alone). Start times are the least fixpoint of the
+/// dataflow constraints, so the result is *the* asynchronous execution (it
+/// does not depend on any event ordering). `messages` and `comm_cycles`
+/// count every message cost the kernel charges, including re-charges when
+/// a consumer is tried again after waiting on another operand.
 pub fn simulate(
     prog: &Program,
     g: &Ddg,
     m: &MachineConfig,
     traffic: &TrafficModel,
 ) -> Result<SimResult, ProgramError> {
-    // Dense per-instance tables (`node * iters + iter`); see `dense`.
-    let d = dense::DenseProgram::build(prog, g)?;
-    let total = prog.len();
-    let nprocs = prog.processors();
-    // `(proc, start)` per instance; `proc == u32::MAX` marks "not timed".
-    let mut start: Vec<(u32, Cycle)> = vec![(u32::MAX, 0); d.table_len()];
-    let mut head = vec![0usize; nprocs];
-    let mut clock = vec![0 as Cycle; nprocs];
-    let mut stats: Vec<ProcStats> = vec![ProcStats::default(); nprocs];
-    let mut timed = 0usize;
-    let mut makespan = 0;
+    let index = InstanceIndex::build(prog, g)?;
     let mut messages = 0u64;
     let mut comm_cycles = 0u64;
-
-    loop {
-        let mut progress = false;
-        for p in 0..nprocs {
-            while head[p] < prog.seqs[p].len() {
-                let inst = prog.seqs[p][head[p]];
-                let mut ready: Cycle = clock[p];
-                let mut ok = true;
-                for (eid, e) in g.in_edges(inst.node) {
-                    if e.distance > inst.iter {
-                        continue;
-                    }
-                    let pred = InstanceId {
-                        node: e.src,
-                        iter: inst.iter - e.distance,
-                    };
-                    if d.proc_of(pred).is_some() {
-                        match start[d.idx(pred)] {
-                            (sp, st) if sp != u32::MAX => {
-                                let fin = m.finish(st, g.latency(pred.node));
-                                let r = if sp as usize == p {
-                                    m.local_ready(fin)
-                                } else {
-                                    let cost = m.edge_cost(e) + traffic.fluctuation(eid, inst.iter);
-                                    messages += 1;
-                                    comm_cycles += cost as u64;
-                                    m.remote_ready(fin, cost)
-                                };
-                                ready = ready.max(r);
-                            }
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !ok {
-                    break;
-                }
-                let lat = g.latency(inst.node) as Cycle;
-                let fin = ready + lat;
-                start[d.idx(inst)] = (p as u32, ready);
-                clock[p] = fin;
-                stats[p].busy += lat;
-                stats[p].finish = fin;
-                stats[p].executed += 1;
-                makespan = makespan.max(fin);
-                head[p] += 1;
-                timed += 1;
-                progress = true;
-            }
-        }
-        if timed == total {
-            return Ok(SimResult {
-                start: d.export_starts(prog, &start),
-                makespan,
-                messages,
-                comm_cycles,
-                procs: stats,
-            });
-        }
-        if !progress {
-            return Err(ProgramError::Deadlock { timed, total });
-        }
-    }
+    let timed = time_program(prog, g, m, index, |eid, e, iter| {
+        let cost = m.edge_cost(e) + traffic.fluctuation(eid, iter);
+        messages += 1;
+        comm_cycles += cost as u64;
+        cost
+    })?;
+    Ok(SimResult::finished(
+        prog,
+        g,
+        timed.start,
+        timed.makespan,
+        messages,
+        comm_cycles,
+    ))
 }
 
 #[cfg(test)]
@@ -311,9 +290,7 @@ mod tests {
         let sim = simulate(&prog, &g, &m, &TrafficModel::stable(7)).unwrap();
         let stat = static_times(&prog, &g, &m).unwrap();
         assert_eq!(sim.makespan, stat.makespan);
-        for (inst, &(p, t)) in &stat.start {
-            assert_eq!(sim.start[inst], (p, t), "instance {inst}");
-        }
+        assert_eq!(sim.start, stat.start);
     }
 
     #[test]
@@ -331,8 +308,8 @@ mod tests {
             );
             // Every instance starts no earlier than in the stable run
             // (monotonicity of the dataflow fixpoint).
-            for (inst, &(_, t)) in &base.start {
-                assert!(noisy.start[inst].1 >= t);
+            for (inst, (_, t)) in base.start.iter() {
+                assert!(noisy.start_of(inst) >= Some(t));
             }
         }
     }
@@ -369,6 +346,38 @@ mod tests {
         assert_eq!(sim.comm_cycles, 3);
         // y starts at remote_ready(1, 3) = 3.
         assert_eq!(sim.start_of(InstanceId { node: y, iter: 0 }), Some(3));
+    }
+
+    #[test]
+    fn messages_count_every_charge_including_retries() {
+        // c0 needs a0 (ready in the first round) and b0 (which waits for
+        // e0, on a processor swept after c0's). The kernel charges a -> c
+        // when it first tries c0 and again when c0 is retried, so the
+        // fixpoint simulator counts 4 messages where the event engine
+        // delivers 3 — with identical start times.
+        let mut b = DdgBuilder::new();
+        let a = b.node("a");
+        let bn = b.node("b");
+        let c = b.node("c");
+        let e = b.node("e");
+        b.dep(a, c);
+        b.dep(bn, c);
+        b.dep(e, bn);
+        let g = b.build().unwrap();
+        let m = MachineConfig::new(4, 2);
+        let prog = Program {
+            seqs: [a, bn, c, e]
+                .iter()
+                .map(|&node| vec![InstanceId { node, iter: 0 }])
+                .collect(),
+            iters: 1,
+        };
+        let t = TrafficModel::stable(0);
+        let fixpoint = simulate(&prog, &g, &m, &t).unwrap();
+        let event = simulate_event(&prog, &g, &m, &t, LinkModel::Unlimited).unwrap();
+        assert_eq!(fixpoint.start, event.start);
+        assert_eq!((fixpoint.messages, fixpoint.comm_cycles), (4, 8));
+        assert_eq!((event.messages, event.comm_cycles), (3, 6));
     }
 
     #[test]
@@ -443,8 +452,57 @@ mod tests {
         let placements: Vec<Placement> = sim
             .start
             .iter()
-            .map(|(&inst, &(proc, start))| Placement { inst, proc, start })
+            .map(|(inst, (proc, start))| Placement { inst, proc, start })
             .collect();
         ScheduleTable::new(placements).validate(&g, &m).unwrap();
+    }
+
+    #[test]
+    fn sparse_and_dense_indexing_yield_identical_sim_results() {
+        // The same degenerate program, straddling the index's sparse
+        // threshold from both sides: the graph's node count sets the
+        // rectangle size, so padding the graph with isolated (never
+        // instantiated) nodes pushes the identical program from the dense
+        // index into the sparse fallback without changing its semantics.
+        // Every engine must produce identical `SimResult`s on both.
+        let build_graph = |pads: usize| {
+            let mut b = DdgBuilder::new();
+            let x = b.node("x");
+            let y = b.node("y");
+            b.dep(x, y);
+            for i in 0..pads {
+                b.node(format!("pad{i}"));
+            }
+            b.build().unwrap()
+        };
+        // len = 2, iters = 41 -> sparse iff nodes * 41 > 2 * 8 + 4096.
+        let dense_g = build_graph(98); // 100 * 41 = 4100 <= 4112
+        let sparse_g = build_graph(99); // 101 * 41 = 4141 > 4112
+        let inst = |node, iter| InstanceId {
+            node: kn_ddg::NodeId(node),
+            iter,
+        };
+        let prog = Program {
+            seqs: vec![vec![inst(0, 40)], vec![inst(1, 40)]],
+            iters: 41,
+        };
+        // A dense index spans the rectangle; a sparse one holds the program.
+        let table_len = |g: &Ddg| InstanceIndex::build(&prog, g).unwrap().table_len();
+        assert_eq!(table_len(&dense_g), 4100);
+        assert_eq!(table_len(&sparse_g), 2);
+
+        let m = MachineConfig::new(2, 3);
+        let t = TrafficModel { mm: 3, seed: 17 };
+        let a = simulate(&prog, &dense_g, &m, &t).unwrap();
+        let b = simulate(&prog, &sparse_g, &m, &t).unwrap();
+        assert_eq!(a, b, "fixpoint: dense vs sparse");
+        assert!(a.makespan > 0 && a.messages == 1);
+        for link in [LinkModel::Unlimited, LinkModel::SingleMessage] {
+            for engine in [EventEngine::Heap, EventEngine::Calendar] {
+                let a = simulate_event_with(&prog, &dense_g, &m, &t, link, engine).unwrap();
+                let b = simulate_event_with(&prog, &sparse_g, &m, &t, link, engine).unwrap();
+                assert_eq!(a, b, "event {link:?} {engine:?}: dense vs sparse");
+            }
+        }
     }
 }

@@ -534,7 +534,12 @@ pub fn certify_loop_hook(g: &Ddg, m: &MachineConfig, s: &LoopSchedule) -> Result
 /// `debug_assert`-style hook for `DoacrossOptions::certify` (iteration
 /// count inferred from the timed program).
 pub fn certify_timed_hook(g: &Ddg, m: &MachineConfig, t: &TimedProgram) -> Result<(), String> {
-    let iters = t.start.keys().map(|inst| inst.iter + 1).max().unwrap_or(0);
+    let iters = t
+        .start
+        .iter()
+        .map(|(inst, _)| inst.iter + 1)
+        .max()
+        .unwrap_or(0);
     let report = certify_timed(g, m, t, iters);
     match report.first_error() {
         Some(d) => Err(d.to_string()),
