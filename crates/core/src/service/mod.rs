@@ -538,6 +538,9 @@ pub struct ServiceStats {
     pub exec_ns: u64,
     /// Source-resolution (read + parse + cache lookup) nanoseconds.
     pub parse_ns: u64,
+    /// Loop-transformation nanoseconds, differential certification
+    /// included.
+    pub transform_ns: u64,
     /// Scheduling nanoseconds.
     pub schedule_ns: u64,
     /// Simulation nanoseconds.
@@ -1737,6 +1740,7 @@ fn worker_loop(
         ledger.stats.retries += retries;
         ledger.stats.exec_ns += exec_ns;
         ledger.stats.parse_ns += timing.parse_ns;
+        ledger.stats.transform_ns += timing.transform_ns;
         ledger.stats.schedule_ns += timing.schedule_ns;
         ledger.stats.sim_ns += timing.sim_ns;
         settle_dedup(
@@ -2029,6 +2033,7 @@ fn run_one_attempt(
     match outcome {
         Ok((result, t)) => {
             timing.parse_ns += t.parse_ns;
+            timing.transform_ns += t.transform_ns;
             timing.schedule_ns += t.schedule_ns;
             timing.sim_ns += t.sim_ns;
             // Detect-and-recover: a response that fails the cheap sanity

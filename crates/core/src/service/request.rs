@@ -379,7 +379,11 @@ pub fn validate_response(resp: &ScheduleResponse) -> Result<(), String> {
 /// here (their total still lands in `exec_ns`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RequestTiming {
+    /// Source resolution: corpus lookup or DDG read and parse.
     pub parse_ns: u64,
+    /// Loop transformation, differential certification included (0 with
+    /// `transform=off`).
+    pub transform_ns: u64,
     pub schedule_ns: u64,
     pub sim_ns: u64,
 }
@@ -655,12 +659,13 @@ fn execute_loop(
         graph,
         machine_defaults,
     } = scratch.resolve(&r.source)?;
-    // Transform stage (front-end work, counted into the parse phase).
-    // Only body-sourced corpus workloads carry the statement-level IR the
-    // passes and the differential harness need.
+    timing.parse_ns = t0.elapsed().as_nanos() as u64;
+    // Transform stage. Only body-sourced corpus workloads carry the
+    // statement-level IR the passes and the differential harness need.
     let xform = match r.transform {
         TransformMode::Off => None,
         mode => {
+            let t = Instant::now();
             let LoopSource::Corpus(cname) = &r.source else {
                 return Err(ServiceError::BadRequest(
                     "transform= requires a body-sourced corpus workload".to_string(),
@@ -675,14 +680,13 @@ fn execute_loop(
             // transform; a certification failure means the pass itself is
             // unsound, which must surface as an error, never as a wrong
             // (but fast) schedule.
-            Some(
-                kn_xform::transform_loop(&name, &body, &mode.options())
-                    .map_err(|e| ServiceError::Sched(format!("transform: {e}")))?,
-            )
+            let out = kn_xform::transform_loop(&name, &body, &mode.options())
+                .map_err(|e| ServiceError::Sched(format!("transform: {e}")))?;
+            timing.transform_ns = t.elapsed().as_nanos() as u64;
+            Some(out)
         }
     };
-    timing.parse_ns = t0.elapsed().as_nanos() as u64;
-    // Phase boundary: parse -> schedule.
+    // Phase boundary: parse/transform -> schedule.
     ctx.check()?;
 
     let (default_procs, default_k) = machine_defaults.unwrap_or((8, 3));
@@ -1119,6 +1123,23 @@ mod tests {
         assert_eq!(t.reduce, "applied");
         assert!((t.mii_before - 2.0).abs() < 1e-6, "{}", t.mii_before);
         assert!(t.mii_after < 1e-6, "{}", t.mii_after);
+    }
+
+    #[test]
+    fn transform_time_is_its_own_phase_not_parse_time() {
+        let run = |transform| {
+            let req = ScheduleRequest::Loop(LoopRequest {
+                source: LoopSource::Corpus("reduction/sum".into()),
+                transform,
+                ..LoopRequest::default()
+            });
+            let (r, timing) = execute_with(&mut WorkerScratch::default(), &req, &ExecCtx::none());
+            r.unwrap();
+            timing
+        };
+        assert_eq!(run(TransformMode::Off).transform_ns, 0);
+        let on = run(TransformMode::All);
+        assert!(on.transform_ns > 0, "{on:?}");
     }
 
     #[test]

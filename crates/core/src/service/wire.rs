@@ -309,10 +309,12 @@ pub fn health_json(id: u64, h: &PoolHealth) -> String {
 }
 
 /// Render the batch throughput/latency stats as JSON (schema
-/// `kn-service-throughput-v3`; v2 added the lifecycle counters —
-/// retries, expired, cancelled, shed, rejected — and v3 adds the
-/// response-cache counters: hits, misses, coalesced, evictions, plus the
-/// `cache_entries` gauge sampled at render time). This is the
+/// `kn-service-throughput-v4`; v2 added the lifecycle counters —
+/// retries, expired, cancelled, shed, rejected — v3 the response-cache
+/// counters: hits, misses, coalesced, evictions, plus the
+/// `cache_entries` gauge sampled at render time — and v4
+/// `replaced_workers` and `transform_ns`, the transform phase that v3
+/// counted into `parse_ns`). This is the
 /// run-varying half of the serve output: wall-clock, requests/second,
 /// and the per-phase latency split the workers measured.
 /// `requests`/`errors` count *responses* (including malformed lines
@@ -332,18 +334,20 @@ pub fn throughput_json(
         0.0
     };
     format!(
-        "{{\n  \"schema\": \"kn-service-throughput-v3\",\n  \"workers\": {workers},\n  \"requests\": {requests},\n  \"errors\": {errors},\n  \"retries\": {},\n  \"expired\": {},\n  \"cancelled\": {},\n  \"shed\": {},\n  \"rejected\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_coalesced\": {},\n  \"cache_evictions\": {},\n  \"cache_entries\": {cache_entries},\n  \"wall_ns\": {wall_ns},\n  \"throughput_rps\": {throughput_rps:.2},\n  \"exec_ns\": {},\n  \"parse_ns\": {},\n  \"schedule_ns\": {},\n  \"sim_ns\": {}\n}}\n",
+        "{{\n  \"schema\": \"kn-service-throughput-v4\",\n  \"workers\": {workers},\n  \"requests\": {requests},\n  \"errors\": {errors},\n  \"retries\": {},\n  \"expired\": {},\n  \"cancelled\": {},\n  \"shed\": {},\n  \"rejected\": {},\n  \"replaced_workers\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_coalesced\": {},\n  \"cache_evictions\": {},\n  \"cache_entries\": {cache_entries},\n  \"wall_ns\": {wall_ns},\n  \"throughput_rps\": {throughput_rps:.2},\n  \"exec_ns\": {},\n  \"parse_ns\": {},\n  \"transform_ns\": {},\n  \"schedule_ns\": {},\n  \"sim_ns\": {}\n}}\n",
         stats.retries,
         stats.expired,
         stats.cancelled,
         stats.shed,
         stats.rejected,
+        stats.replaced_workers,
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_coalesced,
         stats.cache_evictions,
         stats.exec_ns,
         stats.parse_ns,
+        stats.transform_ns,
         stats.schedule_ns,
         stats.sim_ns,
     )
@@ -585,7 +589,7 @@ mod tests {
             ..Default::default()
         };
         let j = throughput_json(2, 4, 1, 2_000_000_000, &stats, 5);
-        assert!(j.contains("\"schema\": \"kn-service-throughput-v3\""));
+        assert!(j.contains("\"schema\": \"kn-service-throughput-v4\""));
         assert!(j.contains("\"throughput_rps\": 2.00"));
         assert!(j.contains("\"errors\": 1"));
         assert!(j.contains("\"retries\": 2"));
@@ -596,5 +600,32 @@ mod tests {
         assert!(j.contains("\"cache_coalesced\": 1"));
         assert!(j.contains("\"cache_evictions\": 0"));
         assert!(j.contains("\"cache_entries\": 5"));
+    }
+
+    #[test]
+    fn throughput_json_v4_splits_transform_from_parse_and_counts_replacements() {
+        let stats = ServiceStats {
+            replaced_workers: 2,
+            parse_ns: 1000,
+            transform_ns: 7000,
+            schedule_ns: 2000,
+            ..Default::default()
+        };
+        let j = throughput_json(1, 3, 0, 1_000_000_000, &stats, 0);
+        assert!(
+            j.contains("\"schema\": \"kn-service-throughput-v4\""),
+            "{j}"
+        );
+        assert!(j.contains("\"replaced_workers\": 2"), "{j}");
+        // Fields keep one order: parse, transform, schedule, sim.
+        let at = |k: &str| {
+            j.find(&format!("\"{k}\": "))
+                .unwrap_or_else(|| panic!("{k} in {j}"))
+        };
+        assert!(j.contains("\"parse_ns\": 1000,") && j.contains("\"transform_ns\": 7000,"));
+        assert!(at("parse_ns") < at("transform_ns") && at("transform_ns") < at("schedule_ns"));
+        assert!(
+            at("rejected") < at("replaced_workers") && at("replaced_workers") < at("cache_hits")
+        );
     }
 }

@@ -53,11 +53,22 @@ pub fn apply_op(op: BinOp, a: u64, b: u64) -> u64 {
 /// (the "initial memory contents"): a per-(array, index) hash, so distinct
 /// external inputs are distinguishable and reproducible in every engine.
 pub fn external_value(array: &str, index: i64) -> u64 {
+    external_value_at(name_hash(array), index)
+}
+
+/// The array-name half of [`external_value`], so a run of cells of one
+/// array hashes its name once.
+pub(crate) fn name_hash(array: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in array.as_bytes() {
         h = (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
     }
-    h = (h ^ index as u64).wrapping_mul(0x100_0000_01b3);
+    h
+}
+
+/// [`external_value`] of the array whose [`name_hash`] is `name`.
+pub(crate) fn external_value_at(name: u64, index: i64) -> u64 {
+    let h = (name ^ index as u64).wrapping_mul(0x100_0000_01b3);
     h ^ (h >> 31)
 }
 

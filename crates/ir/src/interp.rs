@@ -1,18 +1,22 @@
 //! Sequential reference interpreter for flat guarded-assignment bodies.
 //!
-//! This is the ground truth the transform layer's differential-equivalence
-//! harness compares against: run the original body and the transformed body
-//! for `N` iterations from the same seeded initial memory, and demand the
-//! observable stores agree. Semantics match [`crate::eval`] exactly —
-//! `u64` wrapping arithmetic, total division, 1/0 comparisons — and initial
-//! memory comes from [`external_value`] mixed with a per-run seed, so one
-//! loop can be executed on many distinct reproducible inputs.
+//! This is the reference semantics of the IR: the definition a faster
+//! executor must agree with, not the executor the service runs. The
+//! transform layer certifies rewrites by running the original and the
+//! transformed body for `N` iterations from the same seeded initial
+//! memory; it does so with slot-compiled code, and its property suite and
+//! the benchmark's independent checker replay the same runs here, on
+//! string-keyed map stores, as the oracle. Semantics match
+//! [`crate::eval`] exactly — `u64` wrapping arithmetic, total division,
+//! 1/0 comparisons — and initial memory comes from [`external_value`]
+//! mixed with a per-run seed, so one loop can be executed on many
+//! distinct reproducible inputs.
 //!
 //! The interpreter executes statements strictly in order within each
 //! iteration and iterations strictly in order — i.e. the loop's *serial*
 //! semantics, the thing every transform must preserve.
 
-use crate::eval::{eval_expr, external_value, EvalContext};
+use crate::eval::{eval_expr, external_value, external_value_at, name_hash, EvalContext};
 use crate::ifconv::GuardedAssign;
 use crate::stmt::Target;
 use std::collections::BTreeMap;
@@ -21,7 +25,19 @@ use std::collections::BTreeMap;
 /// unmixed [`external_value`] (the value `kn-runtime` uses); other seeds
 /// remix it so differential tests can sweep many reproducible inputs.
 pub fn seeded_external_value(seed: u64, array: &str, index: i64) -> u64 {
-    let base = external_value(array, index);
+    reseed(seed, external_value(array, index))
+}
+
+/// [`seeded_external_value`] of `array[lo..lo + out.len()]`, written to
+/// `out`: how a compiled run prefills a window of memory.
+pub fn seeded_external_values(seed: u64, array: &str, lo: i64, out: &mut [u64]) {
+    let name = name_hash(array);
+    for (k, w) in out.iter_mut().enumerate() {
+        *w = reseed(seed, external_value_at(name, lo + k as i64));
+    }
+}
+
+fn reseed(seed: u64, base: u64) -> u64 {
     if seed == 0 {
         return base;
     }
@@ -198,6 +214,17 @@ mod tests {
         assert_ne!(s0, s1, "different seeds must exercise different inputs");
         // Seed 0 equals the unmixed runtime semantics.
         assert_eq!(seeded_external_value(0, "Q", 5), external_value("Q", 5));
+    }
+
+    #[test]
+    fn a_prefilled_window_matches_cell_by_cell_values() {
+        for seed in [0, 1, 7] {
+            let mut w = [0u64; 6];
+            seeded_external_values(seed, "ZA", -2, &mut w);
+            for (k, v) in w.iter().enumerate() {
+                assert_eq!(*v, seeded_external_value(seed, "ZA", k as i64 - 2));
+            }
+        }
     }
 
     #[test]

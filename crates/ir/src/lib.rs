@@ -15,8 +15,8 @@
 //! * [`lower`] — lowering a loop body to a `kn_ddg::Ddg`, statement text
 //!   attached for code generation;
 //! * [`interp`] — a sequential reference interpreter over flat guarded
-//!   bodies (the ground truth under the transform layer's
-//!   differential-equivalence harness);
+//!   bodies: the reference semantics the transform layer's compiled
+//!   differential-equivalence harness is tested against;
 //! * [`text`] — a parse/render text format for loop bodies, so transform
 //!   fixtures can live in `corpus/` next to their `.ddg` files.
 //!
@@ -36,7 +36,10 @@ pub use depend::{analyze_dependences, AnalysisOptions, Dependence, DependenceKin
 pub use eval::{apply_op, eval_expr, external_value, EvalContext};
 pub use expr::{arr, arr_at, binop, c, scalar, BinOp, Expr};
 pub use ifconv::{if_convert, GuardedAssign};
-pub use interp::{interpret, interpret_into, seeded_external_value, seeded_scalar_init, Store};
+pub use interp::{
+    interpret, interpret_into, seeded_external_value, seeded_external_values, seeded_scalar_init,
+    Store,
+};
 pub use lower::{lower_flat, lower_loop, LowerError};
 pub use stmt::{assign, assign_scalar, if_stmt, Assign, LoopBody, Stmt, Target};
 pub use text::{parse_loop, render_loop, IrParseError};

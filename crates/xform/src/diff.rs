@@ -9,6 +9,12 @@
 //! (canonicalized-away predicate scalars) — every original array cell and
 //! scalar must survive untouched.
 //!
+//! [`check_equivalence`] runs both programs compiled to slot-indexed code
+//! over flat memory. [`run_transformed`] and [`observable`], over
+//! [`kn_ir::interpret`]'s map-based stores, are the reference semantics it
+//! is pinned against (`tests/prop_certify.rs`); certification never calls
+//! them.
+//!
 //! Equality is exact (`u64`): the recognized operators (wrapping add/mul,
 //! min, max) are genuinely associative and commutative on `u64`, so
 //! reassociation introduces no drift. A floating-point instantiation of
@@ -16,10 +22,8 @@
 //! `docs/transforms.md`.
 
 use crate::pipeline::Transformed;
-use kn_ir::{
-    apply_op, interpret, interpret_into, seeded_external_value, seeded_scalar_init, GuardedAssign,
-    Store,
-};
+use crate::slots::Compiled;
+use kn_ir::{apply_op, interpret_into, seeded_scalar_init, GuardedAssign, Store};
 use std::collections::BTreeSet;
 
 /// Harness strength. Defaults (8 seeds × 48 iterations) are what
@@ -45,17 +49,28 @@ impl Default for EquivOptions {
 
 /// A concrete counterexample: the first observable location on which the
 /// two programs disagree under some seed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EquivMismatch {
     pub seed: u64,
     /// `"A[3]"` or `"scalar acc"`.
     pub location: String,
     pub original: u64,
     pub transformed: u64,
+    /// `location` is a reduction element (`acc__red[3]`) that no piece
+    /// wrote, so its epilogue had nothing to fold. The values are what
+    /// each program's memory holds there.
+    pub unwritten: bool,
 }
 
 impl std::fmt::Display for EquivMismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.unwritten {
+            return write!(
+                f,
+                "seed {}: {} is never written before its epilogue folds it",
+                self.seed, self.location
+            );
+        }
         write!(
             f,
             "seed {}: {} is {} in the original but {} after transform",
@@ -68,7 +83,8 @@ impl std::fmt::Display for EquivMismatch {
 /// loop over the full iteration space, in manifest order, against shared
 /// memory; then each epilogue folds its element array back into the
 /// accumulator scalar (seeded initial value first, elements in index
-/// order).
+/// order). Reference semantics: panics if a piece left an element
+/// unwritten, which [`check_equivalence`] reports as a mismatch instead.
 pub fn run_transformed(t: &Transformed, iters: u32, seed: u64) -> Store {
     let mut store = Store::default();
     for piece in &t.pieces {
@@ -118,67 +134,28 @@ pub fn observable(store: &Store, t: &Transformed) -> Store {
 /// the non-writer, and only an actual value difference is a mismatch.
 /// (Canonicalization legitimately turns the conditional `(p) m = e` into
 /// an unconditional `m = max(m, e)` — same memory state, different
-/// write-set.)
+/// write-set.) Locations are compared arrays first (by name, then
+/// index), then scalars by name, so the first counterexample is the one
+/// [`interpret`](kn_ir::interpret), [`run_transformed`] and
+/// [`observable`] would find. Both programs are compiled once to
+/// slot-indexed code (the crate's `slots` module) and then run on every
+/// seed. An epilogue element no piece wrote is a counterexample too
+/// ([`EquivMismatch::unwritten`]), where [`run_transformed`] panics.
 pub fn check_equivalence(
     original: &[GuardedAssign],
     t: &Transformed,
     opts: &EquivOptions,
 ) -> Result<(), Box<EquivMismatch>> {
-    for seed in 0..opts.seeds {
-        let a = observable(&interpret(original, opts.iters, seed), t);
-        let b = observable(&run_transformed(t, opts.iters, seed), t);
-        if let Some(m) = first_diff(seed, &a, &b) {
-            return Err(Box::new(m));
-        }
-    }
-    Ok(())
-}
-
-fn first_diff(seed: u64, a: &Store, b: &Store) -> Option<EquivMismatch> {
-    let array_keys: BTreeSet<_> = a.arrays.keys().chain(b.arrays.keys()).cloned().collect();
-    for k in array_keys {
-        let fallback = || seeded_external_value(seed, &k.0, k.1);
-        let va = a.arrays.get(&k).copied().unwrap_or_else(fallback);
-        let vb = b.arrays.get(&k).copied().unwrap_or_else(fallback);
-        if va != vb {
-            return Some(EquivMismatch {
-                seed,
-                location: format!("{}[{}]", k.0, k.1),
-                original: va,
-                transformed: vb,
-            });
-        }
-    }
-    let scalar_keys: BTreeSet<_> = a.scalars.keys().chain(b.scalars.keys()).cloned().collect();
-    for k in scalar_keys {
-        let va = a
-            .scalars
-            .get(&k)
-            .copied()
-            .unwrap_or_else(|| seeded_scalar_init(seed, &k));
-        let vb = b
-            .scalars
-            .get(&k)
-            .copied()
-            .unwrap_or_else(|| seeded_scalar_init(seed, &k));
-        if va != vb {
-            return Some(EquivMismatch {
-                seed,
-                location: format!("scalar {k}"),
-                original: va,
-                transformed: vb,
-            });
-        }
-    }
-    None
+    Compiled::new(original, t, opts.iters).check(opts.seeds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{transform_loop, TransformOptions};
+    use crate::pipeline::{transform_loop, Epilogue, Piece, TransformError, TransformOptions};
     use kn_ir::{
-        arr, arr_at, assign, assign_scalar, binop, c, if_convert, if_stmt, scalar, BinOp, LoopBody,
+        arr, arr_at, assign, assign_scalar, binop, c, if_convert, if_stmt, lower_flat, scalar,
+        BinOp, LoopBody,
     };
 
     #[test]
@@ -292,12 +269,58 @@ mod tests {
     }
 
     #[test]
+    fn an_unwritten_reduction_element_fails_certification_instead_of_panicking() {
+        // A hand-built rewrite of `acc = acc + A[I]` whose element write is
+        // guarded: the iterations where the guard is false leave their
+        // element unwritten, so the epilogue has nothing to fold there.
+        let original = if_convert(&LoopBody::new(vec![assign_scalar(
+            "acc",
+            "acc",
+            binop(BinOp::Add, scalar("acc"), arr("A")),
+        )]));
+        let body = if_convert(&LoopBody::new(vec![if_stmt(
+            binop(BinOp::Gt, arr("A"), arr("B")),
+            vec![assign("e", "acc__red", 0, arr("A"))],
+            vec![],
+        )]));
+        let t = Transformed {
+            pieces: vec![Piece {
+                name: "guarded".into(),
+                indices: (0..body.len()).collect(),
+                graph: lower_flat(&body, &Default::default()).unwrap(),
+                body,
+                mii: 0.0,
+            }],
+            epilogues: vec![Epilogue {
+                scalar: "acc".into(),
+                op: BinOp::Add,
+                elements: "acc__red".into(),
+            }],
+            introduced_arrays: vec!["acc__red".into()],
+            removed_scalars: vec!["p0".into()],
+        };
+        let err = check_equivalence(&original, &t, &EquivOptions::default()).unwrap_err();
+        assert!(err.unwritten, "{err:?}");
+        assert_eq!(err.seed, 0);
+        let i: i64 = err.location["acc__red[".len()..err.location.len() - 1]
+            .parse()
+            .unwrap();
+        assert!(
+            kn_ir::external_value("A", i) <= kn_ir::external_value("B", i),
+            "the first unwritten element is one whose guard is false"
+        );
+        let msg = TransformError::Equivalence(err).to_string();
+        assert!(msg.contains("never written"), "{msg}");
+    }
+
+    #[test]
     fn mismatch_renders_location_and_seed() {
         let m = EquivMismatch {
             seed: 3,
             location: "A[5]".into(),
             original: 1,
             transformed: 2,
+            unwritten: false,
         };
         let s = m.to_string();
         assert!(s.contains("seed 3") && s.contains("A[5]"), "{s}");

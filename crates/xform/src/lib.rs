@@ -24,6 +24,7 @@ pub mod diff;
 pub mod fission;
 pub mod pipeline;
 pub mod reduce;
+mod slots;
 
 pub use diff::{check_equivalence, observable, run_transformed, EquivMismatch, EquivOptions};
 pub use fission::{fission_pieces, FissionSkip};
